@@ -10,9 +10,13 @@ Theorem-1 suffix-cluster enumeration dominating, DP array work small):
 * ``IdealLattice.warm`` — the full lattice enumeration + flat DP table
   build — under the ``python`` reference kernel and the ``vector``
   frontier-batched kernel, on fresh lattices, best of ``--repeats``;
-* the cross-period lattice reuse that ``choose_period`` probes and
-  sweep cells get from the keep-loosest caches: six solve caps walked
-  loosest-first on one lattice versus a fresh lattice per cap.
+* the cross-period lattice reuse that ``choose_period`` probes get from
+  the keep-loosest caches: six solve caps walked loosest-first on one
+  lattice versus a fresh lattice per cap;
+* the Figure-10 rebuild: the period walk's first cap (T=1) runs out of
+  DP transitions partway through its table build, leaving per-ideal
+  arrays behind, and the next cap (T=0.1) rebuilds the table on that
+  same lattice — the call mix of the heavy Figure-10 instances.
 
 Every kernel must produce a byte-identical suffix table (masks, works,
 counts, prefix indices); the script exits nonzero on any divergence.
@@ -45,6 +49,13 @@ PANELS = ((40, 8, 2011), (36, 7, 2014), (40, 8, 2013))
 CAP_FRACTION = 0.35
 
 IDEAL_BUDGET = 1 << 22
+
+#: A Figure-10 instance (n=50, elevation 12, CCR 10, 4x4 CMP) whose
+#: T=1 table build exceeds DPA1D's default transition budget, and the
+#: two periods the walk tries on it.
+REBUILD = dict(n=50, elevation=12, seed=2012, ccr=10.0)
+REBUILD_PERIODS = (1.0, 0.1)
+TRANSITION_BUDGET = 1_000_000
 
 
 def _panel(n: int, elevation: int, seed: int):
@@ -118,9 +129,8 @@ def bench_reuse(repeats: int) -> dict:
     Six caps, loosest first (the period search's own order), on a single
     lattice — every cap after the first is a filtered view of the
     loosest-cap table — against a fresh lattice per cap, which is what
-    every probe paid before the keep-loosest caches and the per-worker
-    ``LatticeCache``.  Both sides run the vector kernel, so the ratio
-    isolates the reuse itself.
+    every probe paid before the keep-loosest caches.  Both sides run the
+    vector kernel, so the ratio isolates the reuse itself.
     """
     from repro.core.partition import IdealLattice
 
@@ -164,6 +174,77 @@ def bench_reuse(repeats: int) -> dict:
     }
 
 
+def bench_rebuild(repeats: int) -> dict:
+    """The Figure-10 call mix: a budget-tripped build, then a tighter one.
+
+    Times the T=0.1 table build on the lattice whose T=1 build ran out of
+    transitions against the same build on a fresh lattice, under the
+    default kernel, and checks the two tables are byte-identical.
+    """
+    import numpy as np
+
+    from repro.core.errors import BudgetExceeded
+    from repro.core.partition import IdealLattice
+    from repro.platform.cmp import CMPGrid
+    from repro.spg.random_gen import random_spg_with_elevation
+
+    spg = random_spg_with_elevation(
+        REBUILD["n"], REBUILD["elevation"],
+        np.random.default_rng(REBUILD["seed"]), ccr=REBUILD["ccr"],
+    )
+    s_max = CMPGrid(4, 4).model.s_max
+    loose, tight = (T * s_max for T in REBUILD_PERIODS)
+
+    def lattice():
+        lat = IdealLattice(spg, budget=120_000)
+        lat.cut_table()  # the ideals and cuts are not what is timed
+        return lat
+
+    tripped_samples, rebuild_samples, fresh_samples = [], [], []
+    equal = True
+    for _ in range(repeats):
+        gc.collect()
+        lat = lattice()
+        t0 = time.perf_counter()
+        try:
+            lat.suffix_table(loose, TRANSITION_BUDGET)
+            tripped = False
+        except BudgetExceeded:
+            tripped = True
+        t1 = time.perf_counter()
+        kept = len(lat._sfx)
+        t2 = time.perf_counter()
+        got = _table_fingerprint(lat, tight)
+        t3 = time.perf_counter()
+        del lat
+        gc.collect()
+        fresh = lattice()
+        t4 = time.perf_counter()
+        want = _table_fingerprint(fresh, tight)
+        t5 = time.perf_counter()
+        del fresh
+        tripped_samples.append(t1 - t0)
+        rebuild_samples.append(t3 - t2)
+        fresh_samples.append(t5 - t4)
+        equal = equal and tripped and got == want
+    return {
+        "instance": (
+            f"n{REBUILD['n']}_e{REBUILD['elevation']}_s{REBUILD['seed']}"
+            f"_ccr{REBUILD['ccr']:g}"
+        ),
+        "periods": list(REBUILD_PERIODS),
+        "transitions": want[-1],
+        "ideals_after_trip": kept,
+        "tripped_seconds": min(tripped_samples),
+        "rebuild_seconds": min(rebuild_samples),
+        "rebuild_samples": rebuild_samples,
+        "fresh_seconds": min(fresh_samples),
+        "fresh_samples": fresh_samples,
+        "rebuild_over_fresh": min(rebuild_samples) / min(fresh_samples),
+        "outputs_equal": equal,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -175,6 +256,7 @@ def main(argv=None) -> int:
 
     kernels = bench_kernels(args.repeats)
     reuse = bench_reuse(args.repeats)
+    rebuild = bench_rebuild(args.repeats)
     section = {
         "workload": (
             f"IdealLattice.warm (full enumeration + DP table) on "
@@ -183,7 +265,11 @@ def main(argv=None) -> int:
         ),
         **kernels,
         "cross_period_reuse": reuse,
-        "outputs_equal": kernels["outputs_equal"] and reuse["outputs_equal"],
+        "fig10_rebuild": rebuild,
+        "outputs_equal": (
+            kernels["outputs_equal"] and reuse["outputs_equal"]
+            and rebuild["outputs_equal"]
+        ),
     }
     if not section["floor_met"]:
         print(
@@ -196,8 +282,8 @@ def main(argv=None) -> int:
     print(json.dumps({"dpa1d": section}, indent=1, sort_keys=True))
     print(f"\nwritten to {out_path}")
     if not section["outputs_equal"]:
-        print("ERROR: kernels diverged on the suffix table",
-              file=sys.stderr)
+        print("ERROR: a suffix table diverged (kernels, reuse or "
+              "rebuild)", file=sys.stderr)
         return 1
     return 0
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 
 from repro.core.errors import BudgetExceeded
-from repro.core.kernels import EnumerationKernel, resolve_kernel
+from repro.core.kernels import EnumerationKernel, get_kernel, resolve_kernel
 from repro.obs.session import inc, trace_span
 from repro.spg.analysis import ancestor_masks, cut_volume, descendant_masks
 from repro.spg.graph import SPG
@@ -92,11 +92,12 @@ class IdealLattice:
         ``n^ymax``; real workloads with ymax around 12-17 blow any budget,
         which is exactly when DPA1D is reported to fail.
     kernel:
-        The suffix-cluster enumeration kernel — a name from the
-        :mod:`repro.core.kernels` registry, a kernel instance, or
+        The kernel that builds the flat DP tables in bulk — a name from
+        the :mod:`repro.core.kernels` registry, a kernel instance, or
         ``None`` for the ambient default (``--kernel`` / the
-        ``REPRO_KERNEL`` environment variable).  Every kernel produces
-        byte-identical output; the choice is purely a speed lever.
+        ``REPRO_KERNEL`` environment variable).  Single ideals always
+        run the reference DFS.  Every kernel produces byte-identical
+        output; the choice is purely a speed lever.
     """
 
     def __init__(
@@ -374,12 +375,13 @@ class IdealLattice:
         For word-sized graphs without a cluster budget the pairs are built
         from the per-ideal array cache of :meth:`suffix_arrays`, so e.g.
         the DP reconstruction rereads exactly what the solve enumerated.
+        Otherwise the reference DFS enumerates them (any graph size).
         """
         if max_clusters is None and self.spg.n <= 62:
             masks, works = self.suffix_arrays(ideal, max_weight)
             return list(zip(masks.tolist(), works.tolist()))
-        masks_l, works_l = self._enumerate_suffix_lists(
-            ideal, max_weight, max_clusters
+        masks_l, works_l = get_kernel("python").enumerate_lists(
+            self, ideal, max_weight, max_clusters
         )
         return list(zip(masks_l, works_l))
 
@@ -395,10 +397,10 @@ class IdealLattice:
         reproduces a pruned enumeration element for element), with the
         view for the cap currently being solved memoised.  choose_period
         probes the loosest period first and tightens, so every re-probe
-        — and, through the worker lattice cache, every sweep cell
-        sharing the graph — hits these arrays instead of re-running the
-        DFS; a probe looser than anything seen re-enumerates once and
-        becomes the new kept cap.
+        hits these arrays instead of re-running the DFS; a probe looser
+        than anything seen re-enumerates once and becomes the new kept
+        cap.  A single ideal is one DFS tree, so it runs the reference
+        DFS whatever the lattice's bulk kernel.
         """
         hit = self._sfx.get(ideal)
         if hit is not None:
@@ -414,23 +416,12 @@ class IdealLattice:
                     cap, masks, works, max_weight, fmasks, fworks
                 )
                 return fmasks, fworks
-        masks, works = self.kernel.enumerate_arrays(self, ideal, max_weight)
+        masks, works = get_kernel("python").enumerate_arrays(
+            self, ideal, max_weight
+        )
         self._sfx[ideal] = (max_weight, masks, works, None, None, None)
         inc("kernel.enumerations")
         return masks, works
-
-    def _enumerate_suffix_lists(
-        self, ideal: int, max_weight: float, max_clusters: int | None = None
-    ) -> tuple[list[int], list[float]]:
-        """The one suffix-cluster enumeration, dispatched to the kernel.
-
-        Every registered kernel (see :mod:`repro.core.kernels`) produces
-        the same masks and works in the same DFS preorder, so downstream
-        tie-breaks are kernel-independent.
-        """
-        return self.kernel.enumerate_lists(
-            self, ideal, max_weight, max_clusters
-        )
 
     def suffix_table(
         self, max_weight: float, transition_budget: int | None = None
@@ -462,12 +453,7 @@ class IdealLattice:
             loosest = self._table_loosest
             if loosest is not None and max_weight < loosest:
                 M, W, counts, offsets, pidx, _total = self._tables[loosest]
-                keep = W <= max_weight
-                cs = np.zeros(len(keep) + 1, dtype=np.intp)
-                np.cumsum(keep, out=cs[1:])
-                fcounts = (cs[offsets[1:]] - cs[offsets[:-1]]).astype(
-                    np.intp
-                )
+                keep, fcounts = _filter_segments(W, offsets, max_weight)
                 foffsets = np.zeros(len(fcounts) + 1, dtype=np.intp)
                 np.cumsum(fcounts, out=foffsets[1:])
                 tbl = (
@@ -491,74 +477,97 @@ class IdealLattice:
     def _build_table(
         self, max_weight: float, transition_budget: int | None
     ) -> tuple:
-        """Fresh ``suffix_table`` build, counting against the budget as
-        it goes so a doomed run raises without enumerating the rest."""
+        """Fresh ``suffix_table`` build.
+
+        An ideal whose kept arrays were enumerated at a cap at least as
+        loose as ``max_weight`` is served as a filtered view of them.
+        Every other ideal goes to the kernel's bulk builder in chunks,
+        so a batching kernel expands thousands of DFS trees as one
+        forest, and the new arrays become the ideal's kept ones (later
+        ``suffix_arrays``/``reconstruct`` calls hit them).  The budget
+        counts the whole table: served clusters first, then the bulk
+        builds against what is left, so the build raises exactly when
+        the total exceeds ``transition_budget`` — before enumerating
+        anything when the served clusters alone exceed it.
+        """
         import numpy as np
 
         ideals = self.ideals()
         vals, _cuts = self.cut_table()
-        n_ideals = len(ideals)
-        counts = np.zeros(n_ideals, dtype=np.intp)
+        sfx = self._sfx
+        counts = np.zeros(len(ideals), dtype=np.intp)
+        budget_msg = f"DPA1D exceeded {transition_budget} DP transitions"
+        served: list[int] = []
+        fresh: list[tuple[int, int]] = []
+        for k, ideal in enumerate(ideals):
+            if ideal:
+                hit = sfx.get(ideal)
+                if hit is not None and hit[0] >= max_weight:
+                    served.append(k)
+                else:
+                    fresh.append((k, ideal))
+        # The table is assembled in buffer order: served ideals first,
+        # then the fresh ones.
         masks_parts: list = []
         works_parts: list = []
-        transitions = 0
-        budget_msg = f"DPA1D exceeded {transition_budget} DP transitions"
-        if not self._sfx:
-            # Cold build: hand the kernel whole chunks of ideals so a
-            # batching kernel expands thousands of DFS trees as one
-            # forest.  The per-ideal slices land in ``_sfx`` so later
-            # ``suffix_arrays``/``reconstruct`` calls hit the cache.
-            nz = [(k, ideal) for k, ideal in enumerate(ideals) if ideal]
-            chunk_size = 1024
-            for s in range(0, len(nz), chunk_size):
-                chunk = nz[s:s + chunk_size]
-                chunk_ideals = [ideal for _k, ideal in chunk]
-                remaining = (
-                    None if transition_budget is None
-                    else transition_budget - transitions
-                )
-                M, W, ccounts = self.kernel.enumerate_bulk(
-                    self, chunk_ideals, max_weight,
-                    node_budget=remaining, budget_msg=budget_msg,
-                )
-                off = 0
-                for (k, ideal), t in zip(chunk, ccounts):
-                    t = int(t)
-                    counts[k] = t
-                    self._sfx[ideal] = (
-                        max_weight, M[off:off + t], W[off:off + t],
-                        None, None, None,
-                    )
-                    off += t
-                transitions += int(M.size)
-                if M.size:
-                    masks_parts.append(M)
-                    works_parts.append(W)
-            inc("kernel.enumerations", len(nz))
-        else:
-            for k, ideal in enumerate(ideals):
-                if ideal == 0:
-                    continue
-                masks, works = self.suffix_arrays(ideal, max_weight)
-                t = len(masks)
-                if t == 0:
-                    continue
+        if served:
+            kept = [sfx[ideals[k]] for k in served]
+            kept_counts = np.fromiter(
+                (len(e[1]) for e in kept), dtype=np.intp, count=len(kept)
+            )
+            kept_offsets = np.zeros(len(kept) + 1, dtype=np.intp)
+            np.cumsum(kept_counts, out=kept_offsets[1:])
+            M = np.concatenate([e[1] for e in kept])
+            W = np.concatenate([e[2] for e in kept])
+            keep, counts[served] = _filter_segments(
+                W, kept_offsets, max_weight
+            )
+            masks_parts.append(M[keep])
+            works_parts.append(W[keep])
+        transitions = int(counts.sum())
+        if transition_budget is not None and transitions > transition_budget:
+            raise BudgetExceeded(budget_msg)
+        chunk_size = 1024
+        for s in range(0, len(fresh), chunk_size):
+            chunk = fresh[s:s + chunk_size]
+            remaining = (
+                None if transition_budget is None
+                else transition_budget - transitions
+            )
+            M, W, ccounts = self.kernel.enumerate_bulk(
+                self, [ideal for _k, ideal in chunk], max_weight,
+                node_budget=remaining, budget_msg=budget_msg,
+            )
+            off = 0
+            for (k, ideal), t in zip(chunk, ccounts.tolist()):
                 counts[k] = t
-                transitions += t
-                if transition_budget is not None and transitions > (
-                    transition_budget
-                ):
-                    raise BudgetExceeded(budget_msg)
-                masks_parts.append(masks)
-                works_parts.append(works)
-        offsets = np.zeros(n_ideals + 1, dtype=np.intp)
+                sfx[ideal] = (
+                    max_weight, M[off:off + t], W[off:off + t],
+                    None, None, None,
+                )
+                off += t
+            transitions += int(M.size)
+            masks_parts.append(M)
+            works_parts.append(W)
+        if fresh:
+            inc("kernel.enumerations", len(fresh))
+        offsets = np.zeros(len(ideals) + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
-        if not masks_parts:
+        if not transitions:
             empty_m = np.empty(0, np.uint64)
             return (empty_m, np.empty(0), counts, offsets,
                     np.empty(0, np.intp), 0)
         M = np.concatenate(masks_parts)
         W = np.concatenate(works_parts)
+        if served and fresh and served[-1] > fresh[0][0]:
+            # Served and fresh ideals interleave: gather each ideal's
+            # run from its buffer position into DP ideal order.
+            order = np.array(served + [k for k, _i in fresh], dtype=np.intp)
+            start = np.zeros(len(ideals), dtype=np.intp)
+            start[order] = np.cumsum(counts[order]) - counts[order]
+            idx = np.repeat(start - offsets[:-1], counts)
+            idx += np.arange(transitions, dtype=np.intp)
+            M, W = M[idx], W[idx]
         ideal_vals, _epos = self.ideal_positions()
         owners = np.repeat(ideal_vals, counts)
         P = np.bitwise_xor(M, owners)
@@ -611,8 +620,8 @@ class IdealLattice:
 
         ``nodes`` counts every cached (mask, work) pair — loosest-cap
         arrays, memoised filtered views and flat tables — and ``bytes``
-        estimates their footprint (16 bytes a pair), so sweep drivers
-        and the worker lattice cache can bound memory.
+        estimates their footprint (16 bytes a pair), so callers can
+        bound memory.
         """
         sfx_nodes = 0
         for _cap, masks, _w, _fcap, fmasks, _fw in self._sfx.values():
@@ -669,3 +678,19 @@ class IdealLattice:
                 ideal, max_weight, max_clusters
             )
         ]
+
+
+def _filter_segments(W, offsets, cap: float):
+    """``(keep, counts)``: which elements of ``W`` lie within ``cap``,
+    and how many survive in each segment ``offsets[k]:offsets[k + 1]``.
+
+    Weight pruning removes whole DFS subtrees, so filtering arrays
+    enumerated at a looser cap reproduces the enumeration at ``cap``
+    element for element.
+    """
+    import numpy as np
+
+    keep = W <= cap
+    cs = np.zeros(len(keep) + 1, dtype=np.intp)
+    np.cumsum(keep, out=cs[1:])
+    return keep, cs[offsets[1:]] - cs[offsets[:-1]]

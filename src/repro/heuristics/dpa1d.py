@@ -54,8 +54,7 @@ class _UnilineDP:
         self.cap_bytes = self.model.link_capacity(self.T)
         # The lattice (ideal enumeration + cut volumes) only depends on the
         # SPG, so it is shared across the several periods choose_period
-        # probes on the same graph — and, through the worker lattice
-        # cache, across sweep cells with the same graph content.
+        # probes on the same graph.
         self.lat = IdealLattice.for_spg(
             self.spg, budget=ideal_budget, kernel=kernel
         )

@@ -21,6 +21,7 @@ quotient cycle the local checks cannot see.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from repro.core.errors import HeuristicFailure, MappingError
@@ -64,25 +65,27 @@ class _Block:
         spg = solver.spg
         labels = spg.labels
         self.m1, self.m2 = m1, m2
-        self.stages = [
-            i for i in range(spg.n) if m1 <= labels[i][0] <= m2
-        ]
+        self.stages = sorted(chain.from_iterable(
+            solver.level_stages[m1:m2 + 1]
+        ))
         ys = [labels[i][1] for i in self.stages]
         self.ymax = max(ys) if ys else 0
         self.rows: dict[int, list[int]] = {}
         for i in self.stages:
             self.rows.setdefault(labels[i][1], []).append(i)
         # Internal edges spanning distinct rows (vertical traffic) and
-        # edges leaving the block to later levels, from the solver's
-        # precomputed flat edge array (one pass, no per-block stage set).
+        # edges leaving the block to later levels, gathered from the
+        # solver's per-level index and put back in ``edge_list`` order
+        # (traffic sums accumulate in that order).
         v_edges = []
         out_edges = []
-        for i, j, d, xi, yi, xj, yj in solver.edges_info:
-            if m1 <= xi <= m2:
-                if xj > m2:
-                    out_edges.append((i, j, d))
-                elif xj >= m1 and yi != yj:
-                    v_edges.append((yi, yj, d))
+        for _pos, i, j, d, yi, xj, yj in sorted(chain.from_iterable(
+            solver.level_edges[m1:m2 + 1]
+        )):
+            if xj > m2:
+                out_edges.append((i, j, d))
+            elif xj >= m1 and yi != yj:
+                v_edges.append((yi, yj, d))
         self.v_edges = v_edges
         self.out_edges = out_edges
         # Row prefix aggregates, index g = rows 1..g (0 empty).
@@ -167,13 +170,19 @@ class _Dpa2dSolver:
         self.anc = ancestor_masks(self.spg)
         self.xmax = self.spg.xmax
         self.ymax = self.spg.ymax
-        # Flat edge array with both endpoint labels, hoisted out of the
-        # per-block scans (same order as the edges dict).
+        # Stages (ascending) and edges (by source level, tagged with
+        # their ``edge_list`` position) indexed by level once, so each
+        # level block gathers its own instead of scanning the graph.
         labels = self.spg.labels
-        self.edges_info = tuple(
-            (i, j, d, labels[i][0], labels[i][1], labels[j][0], labels[j][1])
-            for i, j, d in self.spg.edge_list
-        )
+        levels = range(self.xmax + 1)
+        self.level_stages: list[list[int]] = [[] for _ in levels]
+        for i in range(self.spg.n):
+            self.level_stages[labels[i][0]].append(i)
+        self.level_edges: list[list[tuple]] = [[] for _ in levels]
+        for pos, (i, j, d) in enumerate(self.spg.edge_list):
+            self.level_edges[labels[i][0]].append(
+                (pos, i, j, d, labels[i][1], labels[j][0], labels[j][1])
+            )
         # Level weights for feasibility pruning of outer transitions.
         self.level_work = [0.0] * (self.xmax + 1)
         for i in range(self.spg.n):

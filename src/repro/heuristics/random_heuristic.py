@@ -18,6 +18,8 @@ of Table 3.
 
 from __future__ import annotations
 
+from bisect import insort
+
 import numpy as np
 
 from repro.core.errors import HeuristicFailure
@@ -42,68 +44,53 @@ def _random_partition(
     spg = problem.spg
     model = problem.grid.model
     T = problem.period
-    placed: set[int] = set()
-    in_current: set[int] = set()
+    w = spg.weights
     clusters: list[list[int]] = []
     speeds: list[float] = []
+    # A stage is ready once all its predecessors are taken (placed or in
+    # the current cluster).  Counts of missing predecessors are kept
+    # incrementally; ``ready`` stays in ascending stage order, so the
+    # draws below see the same lists as a full rescan would give.
+    missing = [len(spg.preds(i)) for i in range(spg.n)]
+    ready = [i for i in range(spg.n) if not missing[i]]
+    taken = 0
 
-    def ready() -> list[int]:
-        out = []
-        for i in range(spg.n):
-            if i in placed or i in in_current:
-                continue
-            if all(p in placed or p in in_current for p in spg.preds(i)):
-                out.append(i)
-        return out
+    def take(i: int) -> None:
+        nonlocal taken
+        ready.remove(i)
+        taken += 1
+        for j in spg.succs(i):
+            missing[j] -= 1
+            if not missing[j]:
+                insort(ready, j)
 
     def draw_speed(first_stage: int) -> float | None:
-        fits = [
-            s
-            for s in model.speeds
-            if spg.weights[first_stage] / s <= T
-        ]
+        fits = [s for s in model.speeds if w[first_stage] / s <= T]
         if not fits:
             return None
         return float(rng.choice(fits))
 
-    current: list[int] = []
-    frontier = ready()
-    first = frontier[0] if frontier else None
-    if first is None:
-        return None
-    speed = draw_speed(first)
-    if speed is None:
-        return None
-    current = [first]
-    in_current = {first}
-    load = spg.weights[first]
-
-    while True:
-        frontier = [i for i in ready() if load + spg.weights[i] <= T * speed]
-        if frontier:
-            nxt = int(rng.choice(frontier))
-            current.append(nxt)
-            in_current.add(nxt)
-            load += spg.weights[nxt]
-            continue
-        # Close the current cluster.
-        clusters.append(current)
-        speeds.append(speed)
-        placed |= in_current
-        in_current = set()
-        remaining = ready()
-        if not remaining:
-            break
+    while ready:
         # "When moving to the next core, we choose the first stage in the
         # current list and iterate."
-        first = remaining[0]
+        first = ready[0]
         speed = draw_speed(first)
         if speed is None:
             return None
         current = [first]
-        in_current = {first}
-        load = spg.weights[first]
-    if len(placed) != spg.n:
+        take(first)
+        load = w[first]
+        while True:
+            frontier = [i for i in ready if load + w[i] <= T * speed]
+            if not frontier:
+                break
+            nxt = int(rng.choice(frontier))
+            current.append(nxt)
+            take(nxt)
+            load += w[nxt]
+        clusters.append(current)
+        speeds.append(speed)
+    if taken != spg.n:
         return None
     return clusters, speeds
 

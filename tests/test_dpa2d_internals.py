@@ -48,6 +48,34 @@ class TestBlocks:
         for (ys, yd, _d) in blk.v_edges:
             assert ys != yd
 
+    @pytest.mark.parametrize("idx", [3, 11])
+    def test_blocks_match_full_scan(self, grid_4x4, idx):
+        """The per-level index gives every block the stages and edges, in
+        the order, that a scan of the whole graph gives (traffic sums
+        accumulate in edge order)."""
+        from repro.spg.streamit import streamit_workflow
+
+        g = streamit_workflow(idx, ccr=1.0, seed=0)
+        s = _Dpa2dSolver(ProblemInstance(g, grid_4x4, 1.0), 4, 4)
+        lab = g.labels
+        for m1 in range(1, g.xmax + 1):
+            for m2 in range(m1, g.xmax + 2):
+                blk = s.block(m1, m2)
+                assert blk.stages == [
+                    i for i in range(g.n) if m1 <= lab[i][0] <= m2
+                ]
+                inside = [
+                    (i, j, d) for i, j, d in g.edge_list
+                    if m1 <= lab[i][0] <= m2
+                ]
+                assert blk.out_edges == [
+                    (i, j, d) for i, j, d in inside if lab[j][0] > m2
+                ]
+                assert blk.v_edges == [
+                    (lab[i][1], lab[j][1], d) for i, j, d in inside
+                    if m1 <= lab[j][0] <= m2 and lab[i][1] != lab[j][1]
+                ]
+
 
 class TestClusterCosts:
     def test_empty_cluster_free(self, solver):

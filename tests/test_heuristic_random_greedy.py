@@ -69,6 +69,50 @@ class TestRandomHeuristic:
         m = random_mapping(easy_problem, rng=1)
         assert max_cycle_time(m) <= easy_problem.period * (1 + 1e-9)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_partition_matches_rescanning_reference(self, grid_4x4, seed):
+        """The incrementally kept ready list draws exactly what a rescan
+        of every stage's predecessors at each step draws."""
+        from repro.heuristics.random_heuristic import _random_partition
+
+        def reference(problem, rng):
+            spg, model, T = problem.spg, problem.grid.model, problem.period
+            taken: set[int] = set()
+
+            def ready():
+                return [i for i in range(spg.n) if i not in taken
+                        and all(p in taken for p in spg.preds(i))]
+
+            clusters, speeds = [], []
+            while ready():
+                first = ready()[0]
+                fits = [v for v in model.speeds
+                        if spg.weights[first] / v <= T]
+                if not fits:
+                    return None
+                speed = float(rng.choice(fits))
+                current, load = [first], spg.weights[first]
+                taken.add(first)
+                while True:
+                    frontier = [i for i in ready()
+                                if load + spg.weights[i] <= T * speed]
+                    if not frontier:
+                        break
+                    nxt = int(rng.choice(frontier))
+                    current.append(nxt)
+                    taken.add(nxt)
+                    load += spg.weights[nxt]
+                clusters.append(current)
+                speeds.append(speed)
+            return clusters, speeds
+
+        g = random_spg(30, rng=seed, ccr=1.0)
+        for frac in (1.0, 0.3, 0.1, 0.02):
+            prob = ProblemInstance(g, grid_4x4, loose_period(g) * frac)
+            got = _random_partition(prob, np.random.default_rng(seed))
+            want = reference(prob, np.random.default_rng(seed))
+            assert got == want
+
     def test_numpy_generator_accepted(self, easy_problem):
         m = random_mapping(easy_problem, rng=np.random.default_rng(5))
         validate(m, easy_problem.period)

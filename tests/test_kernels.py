@@ -1,10 +1,11 @@
-"""Tests for the enumeration-kernel layer and cross-cell lattice reuse.
+"""Tests for the enumeration-kernel layer.
 
 Covers the kernel registry and ambient selection, the vector kernel's
 byte-exact equivalence to the reference DFS (hypothesis battery over
 random SPGs x caps x budgets, including ``BudgetExceeded`` parity), the
-keep-loosest ``suffix_arrays``/``suffix_table`` caches, the bounded
-per-worker :class:`LatticeCache`, and the ``--kernel`` CLI plumbing.
+keep-loosest ``suffix_arrays``/``suffix_table`` caches and the warm
+table rebuild, the word-size switch at n = 62/63/64, and the
+``--kernel`` CLI plumbing.
 """
 
 from __future__ import annotations
@@ -23,15 +24,12 @@ from repro.core.kernels import (
     KERNEL_ENV,
     KERNELS,
     EnumerationKernel,
-    LatticeCache,
     get_kernel,
     kernel_names,
     register_kernel,
-    reset_worker_cache,
     resolve_kernel,
     set_default_kernel,
     use_kernel,
-    worker_lattice_cache,
 )
 from repro.core.partition import IdealLattice
 from repro.spg import chain, fork_join
@@ -231,10 +229,62 @@ class TestKernelParity:
         lv = lattice(spg, "vector")
         lp = lattice(spg, "python")
         cap = sum(spg.weights)
-        ideal = next(i for i in lv.ideals() if i)
-        assert lv.suffix_clusters_weighted(
-            ideal, cap
-        ) == lp.suffix_clusters_weighted(ideal, cap)
+        # An ideal holding stages past bit 63, whose masks overflow uint64.
+        ideal = next(i for i in lv.ideals() if i.bit_length() > 66)
+        got = lv.suffix_clusters_weighted(ideal, cap)
+        assert got == lp.suffix_clusters_weighted(ideal, cap)
+        # A chain prefix's up-sets are its suffixes, one per stage.
+        assert len(got) == ideal.bit_length()
+        assert max(mask for mask, _w in got) >= 1 << 64
+
+    @pytest.mark.parametrize("n", [62, 63, 64])
+    def test_word_size_switch_parity(self, n):
+        from repro.core.problem import ProblemInstance
+        from repro.heuristics.dpa1d import solve_uniline
+        from repro.platform.cmp import CMPGrid
+
+        spg = random_spg_with_elevation(
+            n, 2, np.random.default_rng(n), ccr=1.0
+        )
+        assert spg.n == n
+        cap = sum(spg.weights) * 0.3
+        lp, lv = lattice(spg, "python"), lattice(spg, "vector")
+        for ideal in lp.ideals()[-40:]:
+            assert lp.suffix_clusters_weighted(
+                ideal, cap
+            ) == lv.suffix_clusters_weighted(ideal, cap)
+        T = 2.0 * spg.total_work / 1e9 / 8
+        prob = ProblemInstance(
+            spg, CMPGrid.uni_line(8, uni_directional=True), T
+        )
+        got = {k: solve_uniline(prob, 8, kernel=k) for k in kernel_names()}
+        assert got["python"] == got["vector"]
+
+    @pytest.mark.parametrize("ccr", [None, 10.0, 1.0, 0.1])
+    def test_dpa1d_on_serpent(self, ccr):
+        # StreamIt #11 (Serpent) has 120 stages: every enumeration runs
+        # the DFS, whatever the kernel, and none may overflow a word.
+        from repro.core.errors import HeuristicFailure
+        from repro.core.problem import ProblemInstance
+        from repro.heuristics.dpa1d import dpa1d_mapping
+        from repro.platform.cmp import CMPGrid
+        from repro.spg.streamit import streamit_workflow
+
+        spg = streamit_workflow(11, ccr=ccr, seed=0)
+        assert spg.n > 64
+        outcomes = {}
+        for kernel in kernel_names():
+            runs = []
+            for T in (1.0, 0.1):
+                prob = ProblemInstance(spg, CMPGrid(4, 4), T)
+                try:
+                    m = dpa1d_mapping(prob, kernel=kernel)
+                    runs.append((m.alloc, m.speeds))
+                except HeuristicFailure as exc:
+                    runs.append(str(exc))
+            outcomes[kernel] = runs
+        assert outcomes["python"] == outcomes["vector"]
+        assert not isinstance(outcomes["vector"][0], str)
 
     def test_solver_outputs_identical_under_kernels(self):
         from repro.core.problem import ProblemInstance
@@ -359,97 +409,83 @@ class TestSuffixCaches:
 
 
 # ---------------------------------------------------------------------------
-# LatticeCache: the per-worker cross-cell reuse
+# Warm table rebuilds: kept arrays from earlier caps plus bulk builds
 # ---------------------------------------------------------------------------
-class TestLatticeCache:
-    def test_adopt_then_seed_rebinds(self):
-        spg = random_spg(8, rng=0)
-        lat = IdealLattice.for_spg(spg, budget=1 << 16)
-        lat.ideals()
-        cache = LatticeCache()
-        assert cache.adopt(spg) == 1
-        spg._derived.clear()
-        clone = random_spg(8, rng=0)  # same content, fresh object
-        assert cache.seed(clone) is True
-        lat2 = IdealLattice.for_spg(clone, budget=1 << 16)
-        assert lat2 is lat and lat2.spg is clone
+def table_bytes(tbl):
+    return tuple(
+        a.tobytes() if isinstance(a, np.ndarray) else a for a in tbl
+    )
 
-    def test_seed_miss_on_different_content(self):
-        cache = LatticeCache()
-        spg = random_spg(8, rng=0)
-        IdealLattice.for_spg(spg, budget=1 << 16).ideals()
-        cache.adopt(spg)
-        other = random_spg(8, rng=1)
-        assert cache.seed(other) is False
-        assert cache.stats()["misses"] == 1
 
-    def test_lru_eviction(self):
-        cache = LatticeCache(max_entries=2)
-        graphs = [random_spg(6, rng=r) for r in range(3)]
-        for g in graphs:
-            IdealLattice.for_spg(g, budget=1 << 16).ideals()
-            cache.adopt(g)
-            g._derived.clear()
-        assert len(cache) == 2 and cache.evicted == 1
-        assert cache.seed(random_spg(6, rng=0)) is False  # oldest gone
-        assert cache.seed(random_spg(6, rng=2)) is True
+def build(lat, cap, budget=None):
+    """The table at ``cap`` or the budget failure's message."""
+    try:
+        return table_bytes(lat.suffix_table(cap, budget))
+    except BudgetExceeded as exc:
+        return str(exc)
 
-    def test_scratch_trim_on_adopt(self):
-        cache = LatticeCache(max_scratch_nodes=0)
-        spg = random_spg(8, rng=3)
-        lat = IdealLattice.for_spg(spg, budget=1 << 16)
-        lat.warm(sum(spg.weights))
-        assert lat.scratch_stats()["nodes"] > 0
-        cache.adopt(spg)
-        assert cache.trimmed == 1
-        assert lat.scratch_stats()["nodes"] == 0
 
-    def test_stats_shape(self):
-        cache = LatticeCache()
-        s = cache.stats()
-        assert s["entries"] == 0 and s["hits"] == 0
-        spg = random_spg(6, rng=0)
-        IdealLattice.for_spg(spg, budget=1 << 16).ideals()
-        cache.adopt(spg)
-        s = cache.stats()
-        assert s["entries"] == 1 and s["lattices"] == 1
-        cache.clear()
-        assert len(cache) == 0
+class TestWarmRebuild:
+    """A lattice that already holds per-ideal arrays (from a failed
+    looser build, reconstruction or single-ideal queries) rebuilds its
+    table through the bulk kernel, byte-identical to a fresh lattice."""
 
-    def test_worker_cache_reset(self):
-        c1 = worker_lattice_cache()
-        assert worker_lattice_cache() is c1
-        reset_worker_cache()
-        assert worker_lattice_cache() is not c1
+    SPG = fork_join(11)  # 2050 ideals: three bulk chunks
 
-    def test_run_tasks_shares_lattices_across_cells(self):
-        from repro.experiments.parallel import random_panel_task, run_tasks
-        from repro.platform.cmp import CMPGrid
+    def caps(self):
+        total = sum(self.SPG.weights)
+        return total * 0.8, total * 0.45
 
-        spg = random_spg(10, rng=5, ccr=10.0)
-        grid = CMPGrid(2, 2)
-        task = (spg, grid, ("DPA1D",), 5, None)
-        first, second = run_tasks(random_panel_task, [task, task], jobs=1)
-        assert first.period == second.period
-        assert first.results["DPA1D"].ok == second.results["DPA1D"].ok
-        cache = worker_lattice_cache()
-        # The second cell found the first cell's lattice by content.
-        assert cache.stats()["hits"] >= 1
+    def tripped(self, kernel):
+        """A lattice whose loose-cap build ran out of budget midway."""
+        loose, _tight = self.caps()
+        lat = lattice(self.SPG, kernel)
+        full = lattice(self.SPG, kernel).suffix_table(loose)[5]
+        with pytest.raises(BudgetExceeded):
+            lat.suffix_table(loose, full // 2)
+        assert 1024 <= len(lat._sfx) < len(lat.ideals()) - 1
+        return lat
 
-    def test_run_tasks_resets_cache_per_run(self):
-        from repro.experiments.parallel import random_panel_task, run_tasks
-        from repro.platform.cmp import CMPGrid
+    @pytest.mark.parametrize("kernel", ["python", "vector"])
+    def test_rebuild_after_budget_failure_matches_fresh(self, kernel):
+        _loose, tight = self.caps()
+        want = build(lattice(self.SPG, kernel), tight)
+        assert build(self.tripped(kernel), tight) == want
 
-        spg = random_spg(10, rng=5, ccr=10.0)
-        task = (spg, CMPGrid(2, 2), ("DPA1D",), 5, None)
-        run_tasks(random_panel_task, [task], jobs=1)
-        seeded = worker_lattice_cache()
-        assert seeded.stats()["entries"] >= 1
-        run_tasks(random_panel_task, [task], jobs=1)
-        # A fresh engine run starts cold: its first cell is a miss again,
-        # so repeated identical runs report identical telemetry.
-        assert worker_lattice_cache() is not seeded
-        assert worker_lattice_cache().stats()["misses"] >= 1
+    def all_kept(self, kernel):
+        """A lattice holding every ideal's arrays at the looser cap."""
+        loose, _tight = self.caps()
+        lat = lattice(self.SPG, kernel)
+        for ideal in lat.ideals()[1:]:
+            lat.suffix_arrays(ideal, loose)
+        return lat
+
+    @pytest.mark.parametrize("kernel", ["python", "vector"])
+    @pytest.mark.parametrize("warm", ["tripped", "all_kept"])
+    def test_rebuild_raises_exactly_when_fresh_does(self, kernel, warm):
+        _loose, tight = self.caps()
+        total = lattice(self.SPG, kernel).suffix_table(tight)[5]
+        for budget in (0, 1, total // 3, total - 1, total, total + 1):
+            want = build(lattice(self.SPG, kernel), tight, budget)
+            got = build(getattr(self, warm)(kernel), tight, budget)
+            assert got == want
+            assert isinstance(got, str) == (total > budget)
+            if isinstance(got, str):
+                assert got == f"DPA1D exceeded {budget} DP transitions"
+
+    @pytest.mark.parametrize("kernel", ["python", "vector"])
+    def test_interleaved_kept_and_fresh_ideals(self, kernel):
+        # Kept arrays scattered through the ideal order, some looser and
+        # some tighter than the build cap (those must be re-enumerated).
+        loose, tight = self.caps()
+        lat = lattice(self.SPG, kernel)
+        ideals = lat.ideals()
+        for pos in range(5, len(ideals), 7):
+            lat.suffix_arrays(ideals[pos], loose if pos % 2 else tight / 2)
+        want = build(lattice(self.SPG, kernel), tight)
+        assert build(lat, tight) == want
+        # Re-enumerated ideals now keep arrays at the build cap.
+        assert all(lat._sfx[i][0] >= tight for i in ideals if i)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +528,18 @@ class TestKernelPlumbing:
         monkeypatch.setenv(KERNEL_ENV, "python")
         lat = IdealLattice(random_spg(6, rng=0), budget=1 << 16)
         assert lat.kernel.name == "python"
+
+    def test_run_tasks_starts_each_cell_cold(self):
+        from repro.experiments.parallel import random_panel_task, run_tasks
+        from repro.platform.cmp import CMPGrid
+
+        spg = random_spg(10, rng=5, ccr=10.0)
+        task = (spg, CMPGrid(2, 2), ("DPA1D",), 5, None)
+        first, second = run_tasks(random_panel_task, [task, task], jobs=1)
+        # No lattice outlives its cell: the second cell (and any later
+        # run) enumerates from scratch and gets the same answer.
+        assert spg._derived == {}
+        assert first == second
 
     def test_sweep_kernel_param_identical_report(self):
         from repro.experiments.scenarios import run_scenario_sweep
